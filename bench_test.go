@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -146,7 +147,7 @@ func BenchmarkE10_FutureWork(b *testing.B) {
 	tree := workload.Random(rand.New(rand.NewSource(4)), workload.DefaultRandomSpec(31, 4))
 	b.Run("branch-and-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.BranchAndBound(tree, 0); err != nil {
+			if _, err := exact.BranchAndBound(context.Background(), tree, exact.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/incremental"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -79,11 +78,11 @@ func TestParityBoundCache(t *testing.T) {
 		bc := boundcache.New(boundcache.Config{})
 
 		for step := 0; step < 6; step++ {
-			cold, err := exact.BranchAndBound(tree, 0)
+			cold, err := exact.BranchAndBound(ctx, tree, exact.Options{})
 			if err != nil {
 				t.Fatalf("seed %d step %d: cold bnb: %v", seed, step, err)
 			}
-			warm, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Bounds: bc})
+			warm, err := exact.BranchAndBound(ctx, tree, exact.Options{Bounds: bc})
 			if err != nil {
 				t.Fatalf("seed %d step %d: memoized bnb: %v", seed, step, err)
 			}
@@ -100,7 +99,7 @@ func TestParityBoundCache(t *testing.T) {
 					seed, step, warm.Delay, got)
 			}
 			for _, w := range widths {
-				par, err := parallel.BranchAndBound(ctx, tree, parallel.Options{Workers: w, Bounds: bc})
+				par, err := exact.BranchAndBound(ctx, tree, exact.Options{Workers: w, Bounds: bc})
 				if err != nil {
 					t.Fatalf("seed %d step %d workers %d: %v", seed, step, w, err)
 				}
@@ -130,7 +129,7 @@ func TestParityBoundCache(t *testing.T) {
 			// An unmutated re-solve is a whole-instance hit: the recorded
 			// optimal pattern replays with zero search nodes and the exact
 			// recorded delay.
-			replay, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Bounds: bc})
+			replay, err := exact.BranchAndBound(ctx, tree, exact.Options{Bounds: bc})
 			if err != nil {
 				t.Fatalf("seed %d step %d: replay: %v", seed, step, err)
 			}
@@ -165,7 +164,7 @@ func TestBoundCacheConcurrentSolves(t *testing.T) {
 	}
 	want := make([]float64, len(revs))
 	for i, tree := range revs {
-		cold, err := exact.BranchAndBound(tree, 0)
+		cold, err := exact.BranchAndBound(context.Background(), tree, exact.Options{})
 		if err != nil {
 			t.Fatalf("rev %d: %v", i, err)
 		}
@@ -217,7 +216,7 @@ func TestBoundCacheLookupZeroAlloc(t *testing.T) {
 	}
 	tree := workload.Random(rand.New(rand.NewSource(3)), workload.DefaultRandomSpec(30, 3))
 	bc := boundcache.New(boundcache.Config{})
-	if _, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{Bounds: bc}); err != nil {
+	if _, err := exact.BranchAndBound(context.Background(), tree, exact.Options{Bounds: bc}); err != nil {
 		t.Fatalf("populating solve: %v", err)
 	}
 	hashes := model.SubtreeHashes(tree)
@@ -264,7 +263,7 @@ func TestWarmMemoizedResolveFewerNodes(t *testing.T) {
 
 	// Cold memoized solve: populates the cache and yields the incumbent
 	// the next revision warm-starts from.
-	prev, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Bounds: bc})
+	prev, err := exact.BranchAndBound(ctx, tree, exact.Options{Bounds: bc})
 	if err != nil {
 		t.Fatalf("cold memoized solve: %v", err)
 	}
@@ -290,11 +289,11 @@ func TestWarmMemoizedResolveFewerNodes(t *testing.T) {
 		t.Fatalf("mutation: %v", err)
 	}
 
-	cold, err := exact.BranchAndBound(mutated, 0)
+	cold, err := exact.BranchAndBound(ctx, mutated, exact.Options{})
 	if err != nil {
 		t.Fatalf("cold re-solve: %v", err)
 	}
-	warm, err := exact.BranchAndBoundOpts(ctx, mutated, exact.BnBOptions{
+	warm, err := exact.BranchAndBound(ctx, mutated, exact.Options{
 		Bounds: bc,
 		Warm:   incremental.Project(tree, prev.Assignment, mutated),
 	})

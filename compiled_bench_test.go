@@ -12,10 +12,12 @@ package repro_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro"
 	"repro/internal/assign"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exact"
 	"repro/internal/heuristics"
@@ -83,7 +85,7 @@ func BenchmarkCompiledVsPointer(b *testing.B) {
 	b.Run("bnb/compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.BranchAndBound(tree, 0); err != nil {
+			if _, err := exact.BranchAndBound(ctx, tree, exact.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -198,5 +200,38 @@ func TestStripedArenaZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("striped Get/Put cycle allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBranchAndBoundWidthOneAllocs is the allocs/op regression guard on
+// the width-1 branch-and-bound: one solve of a 24-CRU instance costs a
+// handful of allocations (result, assignment, the anytime closures), not
+// the worker, deque and frame machinery of the wider search — whichever
+// wire name asks for width 1.
+func TestBranchAndBoundWidthOneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	tree := workload.Random(rand.New(rand.NewSource(11)), workload.DefaultRandomSpec(24, 3))
+	ctx := context.Background()
+	direct := testing.AllocsPerRun(50, func() {
+		if _, err := exact.BranchAndBound(ctx, tree, exact.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if direct > 6 {
+		t.Fatalf("width-1 branch-and-bound allocates %.1f objects/op, want <= 6", direct)
+	}
+	viaRegistry := func(req core.Request) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := core.SolveContext(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	seq := viaRegistry(core.Request{Tree: tree, Algorithm: core.BranchBound})
+	par := viaRegistry(core.Request{Tree: tree, Algorithm: core.ParallelBnB, Parallelism: 1})
+	if par != seq {
+		t.Fatalf("parallel-bnb at Parallelism 1 allocates %.1f objects/op, branch-and-bound %.1f; want equal", par, seq)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -361,7 +362,7 @@ func E10FutureWork() (*Table, error) {
 		}
 		start = time.Now()
 		bbNodes, bbTime := "budget", ""
-		bb, err := exact.BranchAndBound(tree, bbBudget)
+		bb, err := exact.BranchAndBound(context.Background(), tree, exact.Options{MaxNodes: bbBudget})
 		switch {
 		case err == exact.ErrBudget:
 			// Generic search dies combinatorially — the very reason the

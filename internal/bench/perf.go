@@ -76,7 +76,7 @@ func P1CompiledVsPointer() (*Table, error) {
 		{"branch-and-bound", "compiled", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exact.BranchAndBound(tree, 0); err != nil {
+				if _, err := exact.BranchAndBound(ctx, tree, exact.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -81,21 +81,21 @@ func P5BoundMemo() (*Table, error) {
 		for it := 0; it < iters; it++ {
 			// Prime: the previous revision's solve, outside the timed region.
 			bc := boundcache.New(boundcache.Config{})
-			prev, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Bounds: bc, MaxNodes: 1 << 28})
+			prev, err := exact.BranchAndBound(ctx, tree, exact.Options{Bounds: bc, MaxNodes: 1 << 28})
 			if err != nil {
 				return nil, fmt.Errorf("%s: prime: %w", in.name, err)
 			}
 			warmStart := incremental.Project(tree, prev.Assignment, mutated)
 
 			t0 := time.Now()
-			cold, err := exact.BranchAndBound(mutated, 1<<28)
+			cold, err := exact.BranchAndBound(ctx, mutated, exact.Options{MaxNodes: 1 << 28})
 			coldNS += time.Since(t0).Nanoseconds()
 			if err != nil {
 				return nil, fmt.Errorf("%s: cold: %w", in.name, err)
 			}
 
 			t0 = time.Now()
-			warm, err := exact.BranchAndBoundOpts(ctx, mutated, exact.BnBOptions{
+			warm, err := exact.BranchAndBound(ctx, mutated, exact.Options{
 				Bounds: bc, Warm: warmStart, MaxNodes: 1 << 28,
 			})
 			warmNS += time.Since(t0).Nanoseconds()

@@ -11,12 +11,12 @@ import (
 )
 
 // p6Ballast holds the tuned configuration's heap ballast for the run's
-// lifetime. Package-level (like crserve's) so no compiler analysis can
-// prove it dead and collect it mid-measurement.
+// lifetime. Package-level so no compiler analysis can prove it dead and
+// collect it mid-measurement.
 var p6Ballast []byte
 
-// p6Config is one GC posture under test, mirroring crserve's
-// -gogc/-gc-ballast knobs.
+// p6Config is one GC posture under test: a GOGC percentage and a heap
+// ballast.
 type p6Config struct {
 	name       string
 	gogc       int
@@ -30,8 +30,8 @@ type p6Delta struct {
 	heapAfter uint64
 }
 
-// P6GCTuning measures the GC-hygiene knobs crserve grew in PR 9
-// (-gogc, -gc-ballast) under the load they were built for: a sustained
+// P6GCTuning measures GC pacing — the GOGC percentage and a heap
+// ballast — under a cache-hit-heavy serving load: a sustained
 // elastic fleet run with a node joining and leaving mid-measure. The
 // same deterministic workload runs twice against a fresh 2-node
 // self-hosted fleet — default pacing (GOGC=100, no ballast), then the

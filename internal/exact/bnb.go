@@ -11,79 +11,29 @@ import (
 	"repro/internal/pool"
 )
 
-// BranchAndBound is the branch-and-bound search the paper's §6 proposes as
-// future work, implemented over the same decision tree as BruteForce (host
-// vs. sink-whole-subtree per monochromatic CRU) with four prunings:
-//
-//   - bound: partial host time + the largest committed satellite load +
-//     the host time of undecided CRUs that can never leave the host is a
-//     lower bound on any completion, so branches at or above the incumbent
-//     are cut;
-//   - seeding: the incumbent starts at the better of all-host and maximal
-//     distribution rather than +∞;
-//   - ordering: at each CRU the branch with the smaller immediate
-//     objective increase is explored first, so good incumbents appear
-//     early.
-//
-// The search runs entirely against the tree's compiled plan: the
-// must-host bounds table (Compiled.Forced) is indexed by post-order
-// position and precomputed per revision, subtree sinks are span fills
-// over the flat location vector, satellite loads live in a dense pooled
-// array, and incumbents are evaluated with the flat kernel — the hot loop
-// performs no allocation and no pointer chasing. BranchAndBoundPointer is
-// the original node-walking implementation, retained for parity tests.
-//
-// A fourth, optional pruning is bound memoization (BnBOptions.Bounds):
-// proven standalone lower bounds of whole subtrees, keyed by their
-// Merkle hashes, join the bound as per-stack-entry extras, and subtrees
-// whose hashes were proven in a previous solve are not searched at all.
-// Without a cache handle the search is bit-identical to the
-// pre-memoization solver — same traversal, same explored count — which
-// is what the pointer/compiled parity tests pin.
-//
-// maxNodes caps the number of search nodes (0 means 1<<22).
-func BranchAndBound(t *model.Tree, maxNodes int) (*Result, error) {
-	return BranchAndBoundContext(context.Background(), t, maxNodes)
-}
-
-// BranchAndBoundContext is BranchAndBound with cancellation: the context is
-// checked every few hundred search nodes. On cancellation the returned
-// error is the context's.
-func BranchAndBoundContext(ctx context.Context, t *model.Tree, maxNodes int) (*Result, error) {
-	return BranchAndBoundFrom(ctx, t, maxNodes, nil)
-}
-
-// bnbScratch is the pooled working set of one branch-and-bound (or
-// brute-force) run: the partial and incumbent location vectors, the dense
-// per-satellite load table, the DFS stack and its extras prefix-maximum.
-type bnbScratch struct {
-	loc, best, seed []model.Location
-	loads           []float64
-	stack           []int32
-	exm             []float64
-}
-
-var bnbScratches = pool.NewArena(func() *bnbScratch { return new(bnbScratch) })
-
-// BranchAndBoundFrom is BranchAndBoundContext with a warm incumbent: warm,
-// when non-nil and feasible, joins the baseline seeds, so a near-optimal
-// prior solution (the incremental engine projects the previous revision's
-// outcome onto the mutated tree) makes the very first bound nearly tight
-// and prunes most of the search. The result is still exact — seeding only
-// ever tightens the incumbent, and ties keep the seed itself.
-func BranchAndBoundFrom(ctx context.Context, t *model.Tree, maxNodes int, warm *model.Assignment) (*Result, error) {
-	return BranchAndBoundOpts(ctx, t, BnBOptions{MaxNodes: maxNodes, Warm: warm})
-}
-
-// BnBOptions parameterises one anytime branch-and-bound run.
-type BnBOptions struct {
-	// MaxNodes caps the number of search nodes (0 means 1<<22).
+// Options parameterises one branch-and-bound run.
+type Options struct {
+	// Workers is the search width. 0 and 1 run the plain sequential
+	// search on the caller's goroutine; above 1, that many work-stealing
+	// workers share one incumbent (see the package comment). The width
+	// never changes the returned delay — only the wall time, the
+	// explored count and which of several co-optimal assignments is
+	// reported.
+	Workers int
+	// MaxNodes caps the number of search nodes (0 means 1<<22). Above
+	// width 1 the cap is enforced in per-worker strides, so the final
+	// explored count may overshoot by a few strides per worker.
 	MaxNodes int
-	// Warm optionally seeds the incumbent (see BranchAndBoundFrom).
+	// Warm, when non-nil and feasible, joins the baseline seeds, so a
+	// near-optimal prior solution (the incremental engine projects the
+	// previous revision's outcome onto the mutated tree) makes the very
+	// first bound nearly tight and prunes most of the search. The result
+	// is still exact — seeding only ever tightens the incumbent, and ties
+	// keep the seed itself.
 	Warm *model.Assignment
 	// OnIncumbent, when set, receives every incumbent improvement with a
-	// freshly cloned assignment and the global lower bound. It runs on the
-	// search goroutine between branches.
+	// freshly cloned assignment and the global lower bound. Calls are
+	// serialised and strictly decreasing in Delay at every width.
 	OnIncumbent func(core.Incumbent)
 	// BestEffort returns the incumbent with Result.Partial set — instead
 	// of ErrBudget or the context error — when the node budget or the
@@ -100,38 +50,67 @@ type BnBOptions struct {
 	Bounds *boundcache.Cache
 }
 
-// bnbRun is one depth-first branch-and-bound over one subtree span: the
-// whole tree for a top-level solve, a single subtree for the
+// bnbScratch is the pooled working set of one branch-and-bound (or
+// brute-force) run: the partial and incumbent location vectors, the dense
+// per-satellite load table, the DFS stack and its extras prefix-maximum.
+type bnbScratch struct {
+	loc, best, seed []model.Location
+	loads           []float64
+	stack           []int32
+	exm             []float64
+}
+
+var bnbScratches = pool.NewArena(func() *bnbScratch { return new(bnbScratch) })
+
+// frame is the mutable state of a depth-first search: the partial
+// location vector, the decision stack, the satellite load table and the
+// incremental bound terms. The sequential search owns one; above width
+// 1 a frame is also the stealable unit of work, a snapshot taken where a
+// branch was forked.
+type frame struct {
+	loc   []model.Location
+	stack []int32
+	loads []float64
+	// exm is the running prefix maximum of the memoized extras over the
+	// stack, maintained push-for-push with it; unused when bound
+	// memoization is off, leaving the bound hostTime + forced + maxLoad.
+	exm             []float64
+	hostTime        float64
+	forcedRemaining float64
+}
+
+// bnbRun is one depth-first branch-and-bound worker over one subtree
+// span: the whole tree for a top-level solve, a single subtree for the
 // memoization pre-pass's standalone sub-solves. Runs belonging to one
-// solve share the explored/pruned counters, the node budget and the
-// pooled scratch vectors.
+// sequential solve share the explored/pruned counters, the node budget
+// and the pooled scratch vectors.
 type bnbRun struct {
+	frame
 	ctx       context.Context
 	c         *model.Compiled
-	res       *Result // Explored/Pruned accumulate here across sub-solves
+	res       *Result // Explored/Pruned accumulate here
 	maxNodes  int
 	budgetHit bool
 	ctxErr    error
 
-	loc, best []model.Location
-	loads     []float64
-	stack     []int32
-
 	// extra[p] is subtree p's proven standalone lower bound minus
 	// Forced[p] — the part of its future cost the forced-host term
-	// cannot see — and exm is the running prefix maximum of extra over
-	// the stack, maintained push-for-push with it. Both nil when bound
-	// memoization is off, leaving the bound exactly hostTime + forced +
-	// maxLoad as before.
+	// cannot see. Nil when bound memoization is off.
 	extra []float64
-	exm   []float64
 
-	hostTime        float64
-	forcedRemaining float64
-	bestDelay       float64
-	spanStart       int32
-	spanEnd         int32
-	onBetter        func() // top level only: publish res.Delay + stream
+	best      []model.Location
+	bestDelay float64
+	spanStart int32
+	spanEnd   int32
+	onBetter  func(work int) // top level only: publish res.Delay + stream
+
+	// sh is the state shared by the workers of a search wider than 1;
+	// nil for the sequential search, which then touches no atomic,
+	// mutex or deque. id and est are this worker's deque index and its
+	// estimate of the shared explored total.
+	sh  *shared
+	id  int
+	est int64
 }
 
 // pushExtra appends extra e to the prefix-maximum stack exm.
@@ -142,7 +121,7 @@ func pushExtra(exm []float64, e float64) []float64 {
 	return append(exm, e)
 }
 
-func maxLoadOf(loads []float64) float64 {
+func maxLoad(loads []float64) float64 {
 	m := 0.0
 	for _, v := range loads {
 		if v > m {
@@ -152,28 +131,53 @@ func maxLoadOf(loads []float64) float64 {
 	return m
 }
 
-// dfs is the search recursion, identical to the historical closure-based
-// solver when extra == nil (the parity tests pin its traversal), with
-// the memoized extras folded into the bound otherwise. The stack uses
-// explicit push/pop discipline (see BruteForce for why re-sliced
-// frontier arguments would alias).
+// improve records the complete assignment in r.loc, of delay d below
+// the incumbent.
+func (r *bnbRun) improve(d float64) {
+	if r.sh != nil {
+		r.sh.improve(r.loc, d)
+		return
+	}
+	r.bestDelay = d
+	copy(r.best[r.spanStart:r.spanEnd], r.loc[r.spanStart:r.spanEnd])
+	if r.onBetter != nil {
+		r.onBetter(r.res.Explored)
+	}
+}
+
+// dfs is the search recursion: bound, branch on the top CRU of the
+// stack, recurse, restore. With extra == nil it is the historical
+// sequential solver node for node (the pointer parity tests pin its
+// traversal); the memoized extras fold into the bound otherwise. The
+// stack uses explicit push/pop discipline (see BruteForce for why
+// re-sliced frontier arguments would alias). Above width 1 the bound
+// reads the shared incumbent and a worker whose deque runs low forks
+// the second branch of a decision instead of searching it in-line.
 func (r *bnbRun) dfs() {
-	if r.budgetHit || r.ctxErr != nil {
-		return
-	}
-	r.res.Explored++
-	if r.res.Explored > r.maxNodes {
-		r.budgetHit = true
-		return
-	}
-	if r.res.Explored&0xff == 0 {
-		if err := r.ctx.Err(); err != nil {
-			r.ctxErr = err
+	if r.sh != nil {
+		if !r.sh.step(r) {
 			return
+		}
+		// Prune against the shared incumbent as of this node.
+		r.bestDelay = math.Float64frombits(r.sh.bound.Load())
+	} else {
+		if r.budgetHit || r.ctxErr != nil {
+			return
+		}
+		r.res.Explored++
+		if r.res.Explored > r.maxNodes {
+			r.budgetHit = true
+			return
+		}
+		if r.res.Explored&0xff == 0 {
+			if err := r.ctx.Err(); err != nil {
+				r.ctxErr = err
+				return
+			}
 		}
 	}
 	c := r.c
-	load := maxLoadOf(r.loads)
+	load := maxLoad(r.loads)
 	lower := load
 	if n := len(r.exm); n > 0 && r.exm[n-1] > lower {
 		// Some pending subtree is proven to add more delay than any
@@ -187,93 +191,124 @@ func (r *bnbRun) dfs() {
 	if len(r.stack) == 0 {
 		// Complete assignment; the committed terms are now exact.
 		if d := r.hostTime + load; d < r.bestDelay {
-			r.bestDelay = d
-			copy(r.best[r.spanStart:r.spanEnd], r.loc[r.spanStart:r.spanEnd])
-			if r.onBetter != nil {
-				r.onBetter()
-			}
+			r.improve(d)
 		}
 		return
 	}
 	p := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
-	if r.exm != nil {
+	if r.extra != nil {
 		r.exm = r.exm[:len(r.exm)-1]
 	}
 	r.forcedRemaining -= c.Forced[p]
-	defer func() { // restore for the caller
-		r.stack = append(r.stack, p)
-		if r.exm != nil {
-			r.exm = pushExtra(r.exm, r.extra[p])
-		}
-		r.forcedRemaining += c.Forced[p]
-	}()
-
 	if !c.Proc[p] {
 		// Sensor whose parent is hosted (sensors under sunk subtrees
 		// are never on the stack): the raw frame crosses the uplink.
 		r.loads[c.Sensor[p]] += c.UpComm[p]
 		r.dfs()
 		r.loads[c.Sensor[p]] -= c.UpComm[p]
-		return
-	}
-
-	sat := c.Colour[p]
-	sinkable := sat != model.NoSatellite && p != c.RootPos
-	kids := c.Children(p)
-	sink := func() {
-		delta := c.SubSat[p] + c.UpComm[p]
-		r.loads[sat] += delta
-		c.FillSpan(r.loc, p, model.OnSatellite(sat))
-		r.dfs()
-		c.FillSpan(r.loc, p, model.Host)
-		r.loads[sat] -= delta
-	}
-	host := func() {
-		r.hostTime += c.HostTime[p]
-		r.loc[p] = model.Host
-		r.stack = append(r.stack, kids...)
-		// Children re-enter the forced estimate individually.
-		for _, ch := range kids {
-			r.forcedRemaining += c.Forced[ch]
+	} else {
+		sat := c.Colour[p]
+		onSat := model.OnSatellite(sat) // hoisted: keeps sink() inlinable
+		kids := c.Children(p)
+		sink := func() {
+			delta := c.SubSat[p] + c.UpComm[p]
+			r.loads[sat] += delta
+			c.FillSpan(r.loc, p, onSat)
+			r.dfs()
+			c.FillSpan(r.loc, p, model.Host)
+			r.loads[sat] -= delta
 		}
-		if r.exm != nil {
+		host := func() {
+			r.hostTime += c.HostTime[p]
+			r.loc[p] = model.Host
+			r.stack = append(r.stack, kids...)
+			// Children re-enter the forced estimate individually.
 			for _, ch := range kids {
-				r.exm = pushExtra(r.exm, r.extra[ch])
+				r.forcedRemaining += c.Forced[ch]
+			}
+			if r.extra != nil {
+				for _, ch := range kids {
+					r.exm = pushExtra(r.exm, r.extra[ch])
+				}
+			}
+			r.dfs()
+			for _, ch := range kids {
+				r.forcedRemaining -= c.Forced[ch]
+			}
+			r.stack = r.stack[:len(r.stack)-len(kids)]
+			if r.extra != nil {
+				r.exm = r.exm[:len(r.exm)-len(kids)]
+			}
+			r.hostTime -= c.HostTime[p]
+		}
+		if sat == model.NoSatellite || p == c.RootPos {
+			host()
+		} else {
+			// Explore the branch with the smaller immediate objective
+			// increase first so strong incumbents appear early. Above
+			// width 1 the second branch may go to a peer instead.
+			sinkFirst := math.Max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p])-load <= c.HostTime[p]
+			split := r.sh != nil && r.split(p, sinkFirst)
+			if sinkFirst {
+				sink()
+				if !split {
+					host()
+				}
+			} else {
+				host()
+				if !split {
+					sink()
+				}
 			}
 		}
-		r.dfs()
-		for _, ch := range kids {
-			r.forcedRemaining -= c.Forced[ch]
-		}
-		r.stack = r.stack[:len(r.stack)-len(kids)]
-		if r.exm != nil {
-			r.exm = r.exm[:len(r.exm)-len(kids)]
-		}
-		r.hostTime -= c.HostTime[p]
 	}
-	if !sinkable {
-		host()
-		return
+	// Restore for the caller. Not deferred: a deferred closure per node
+	// is a measurable share of this path.
+	r.stack = append(r.stack, p)
+	if r.extra != nil {
+		r.exm = pushExtra(r.exm, r.extra[p])
 	}
-	// Explore the branch with the smaller immediate objective increase
-	// first so strong incumbents appear early.
-	sinkDelta := math.Max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p]) - load
-	if sinkDelta <= c.HostTime[p] {
-		sink()
-		host()
-	} else {
-		host()
-		sink()
-	}
+	r.forcedRemaining += c.Forced[p]
 }
 
-// BranchAndBoundOpts is the anytime entry point: BranchAndBoundFrom plus
-// incumbent streaming, best-effort deadline handling and bound
-// memoization.
-func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*Result, error) {
+// BranchAndBound is the branch-and-bound search the paper's §6 proposes
+// as future work, implemented over the same decision tree as BruteForce
+// (host vs. sink-whole-subtree per monochromatic CRU) with three
+// prunings:
+//
+//   - bound: partial host time + the largest committed satellite load +
+//     the host time of undecided CRUs that can never leave the host is a
+//     lower bound on any completion, so branches at or above the incumbent
+//     are cut;
+//   - seeding: the incumbent starts at the better of all-host and maximal
+//     distribution (and the warm hint) rather than +∞;
+//   - ordering: at each CRU the branch with the smaller immediate
+//     objective increase is explored first, so good incumbents appear
+//     early.
+//
+// The search runs entirely against the tree's compiled plan: the
+// must-host bounds table (Compiled.Forced) is indexed by post-order
+// position and precomputed per revision, subtree sinks are span fills
+// over the flat location vector, satellite loads live in a dense pooled
+// array, and incumbents are evaluated with the flat kernel — the hot loop
+// performs no allocation and no pointer chasing. BranchAndBoundPointer is
+// the original node-walking implementation, retained for parity tests.
+//
+// A fourth, optional pruning is bound memoization (Options.Bounds):
+// proven standalone lower bounds of whole subtrees, keyed by their
+// Merkle hashes, join the bound as per-stack-entry extras, and subtrees
+// whose hashes were proven in a previous solve are not searched at all.
+//
+// Options.Workers sets the width: at 1 the search runs on the caller's
+// goroutine; wider searches split it across work-stealing workers. The
+// context is polled every 256 search nodes; on cancellation the returned
+// error is the context's.
+func BranchAndBound(ctx context.Context, t *model.Tree, opts Options) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	maxNodes := core.IntOr(opts.MaxNodes, 1<<22)
-	warm := opts.Warm
 	c := model.Compile(t)
 	n := c.Len()
 	res := &Result{Delay: math.Inf(1)}
@@ -281,14 +316,14 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	// The memoization pre-pass runs first: a complete entry for the whole
 	// instance short-circuits the solve, and the per-subtree extras it
 	// proves (or replays from previous solves) arm the bound below.
-	var seed *BoundSeed
+	var seed *boundSeed
 	if opts.Bounds != nil {
-		seed = PrepareBounds(ctx, t, opts.Bounds, maxNodes)
+		seed = prepareBounds(ctx, t, opts.Bounds, maxNodes)
 		res.Explored = seed.Explored
 		res.Pruned = seed.Pruned
 		res.BoundHits, res.BoundMisses = seed.Hits, seed.Misses
 		if e := seed.RootEntry; e != nil {
-			return RootHitResult(t, c, e, res, opts.OnIncumbent), nil
+			return rootHitResult(t, c, e, res, opts.OnIncumbent), nil
 		}
 	}
 
@@ -302,9 +337,9 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
 
 	run := &bnbRun{
-		ctx: ctx, c: c, res: res, maxNodes: maxNodes,
-		loc: sc.loc, best: sc.best, loads: sc.loads,
-		bestDelay: math.Inf(1), spanStart: 0, spanEnd: int32(n),
+		frame: frame{loc: sc.loc, loads: sc.loads},
+		ctx:   ctx, c: c, res: res, maxNodes: maxNodes,
+		best: sc.best, bestDelay: math.Inf(1), spanStart: 0, spanEnd: int32(n),
 	}
 
 	// The forced-host table at the root — processing no assignment can
@@ -325,7 +360,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	res.LowerBound = globalLB
 	// stream clones the incumbent out to the callback. sc.best is pooled
 	// scratch, so the callback gets a fresh Assignment it may keep.
-	stream := func() {
+	stream := func(work int) {
 		if opts.OnIncumbent == nil {
 			return
 		}
@@ -335,7 +370,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 			Assignment: asg,
 			Delay:      res.Delay,
 			LowerBound: globalLB,
-			Work:       res.Explored,
+			Work:       work,
 		})
 	}
 
@@ -347,15 +382,15 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 			run.bestDelay = d
 			res.Delay = d
 			copy(sc.best, loc)
-			stream()
+			stream(res.Explored)
 		}
 	}
 	c.TopmostLocations(sc.seed)
 	improve(sc.seed)
 	c.BaseLocations(sc.seed)
 	improve(sc.seed)
-	if warm != nil && warm.Validate(t) == nil {
-		c.LoadLocations(sc.seed, warm)
+	if opts.Warm != nil && opts.Warm.Validate(t) == nil {
+		c.LoadLocations(sc.seed, opts.Warm)
 		improve(sc.seed)
 	}
 
@@ -365,11 +400,15 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	if run.extra != nil {
 		run.exm = append(sc.exm[:0], run.extra[c.RootPos])
 	}
-	run.onBetter = func() {
+	run.onBetter = func(work int) {
 		res.Delay = run.bestDelay
-		stream()
+		stream(work)
 	}
-	run.dfs()
+	if opts.Workers > 1 {
+		searchWide(run, opts.Workers)
+	} else {
+		run.dfs()
+	}
 	sc.stack = run.stack[:0]
 	if run.exm != nil {
 		sc.exm = run.exm[:0]
@@ -399,7 +438,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 		// is a lookup instead of a search.
 		res.LowerBound = res.Delay
 		if seed != nil {
-			seed.RecordRoot(opts.Bounds, c, sc.best, res.Delay)
+			seed.recordRoot(opts.Bounds, c, sc.best, res.Delay)
 		}
 	}
 	asg := model.NewAssignment(t)
@@ -408,12 +447,11 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	return res, nil
 }
 
-// RootHitResult materialises a solve whose whole instance was already
+// rootHitResult materialises a solve whose whole instance was already
 // proven: the cached optimal pattern is replayed onto a fresh
 // assignment, no search node is explored, and anytime consumers still
-// observe one (final) incumbent. Shared with the work-stealing solver,
-// whose pre-pass can hit the same root entry.
-func RootHitResult(t *model.Tree, c *model.Compiled, e *boundcache.Entry, res *Result, onInc func(core.Incumbent)) *Result {
+// observe one (final) incumbent.
+func rootHitResult(t *model.Tree, c *model.Compiled, e *boundcache.Entry, res *Result, onInc func(core.Incumbent)) *Result {
 	res.Delay = e.LB
 	res.LowerBound = e.LB
 	loc := make([]model.Location, c.Len())

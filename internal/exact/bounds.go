@@ -9,11 +9,11 @@ import (
 	"repro/internal/pool"
 )
 
-// BoundSeed is the product of the bound-memoization pre-pass shared by
-// the sequential and the work-stealing branch-and-bound: per-subtree
-// pruning extras, a tightened root lower bound, and — when the whole
-// instance was proven by an earlier solve — the complete answer.
-type BoundSeed struct {
+// boundSeed is the product of the bound-memoization pre-pass of one
+// branch-and-bound solve, at any width: per-subtree pruning extras, a
+// tightened root lower bound, and — when the whole instance was proven
+// by an earlier solve — the complete answer.
+type boundSeed struct {
 	// Extra[p] is a proven lower bound on subtree p's standalone delay
 	// (host time it adds plus satellite load it adds, parent hosted)
 	// minus Forced[p]: the part of p's future cost the forced-host bound
@@ -39,7 +39,7 @@ type BoundSeed struct {
 	Err       error
 }
 
-// PrepareBounds consults and populates the bound cache for one solve of
+// prepareBounds consults and populates the bound cache for one solve of
 // t. It walks the subtrees in post order (children before parents):
 // each memoizable subtree — processing, non-root, span at least the
 // cache's MinSpan — either replays its proven standalone bound from the
@@ -55,17 +55,14 @@ type BoundSeed struct {
 // touched and the main search starts with every clean region's exact
 // cost already in its bound.
 //
-// The node budget is shared with the main search via BoundSeed.Explored;
+// The node budget is shared with the main search via boundSeed.Explored;
 // on budget or context expiry the remaining subtrees degrade to their
 // static floors and the caller sees BudgetHit/Err.
-func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, maxNodes int) *BoundSeed {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func prepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, maxNodes int) *boundSeed {
 	c := model.Compile(t)
 	n := c.Len()
 	hashes := model.SubtreeHashes(t)
-	seed := &BoundSeed{}
+	seed := &boundSeed{}
 
 	// Boundary-context scratch for key construction (see spanKey).
 	epoch := make([]int32, c.NumSats)
@@ -95,9 +92,9 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	sc.best = pool.Keep(sc.best, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
 	run := &bnbRun{
-		ctx: ctx, c: c, res: res, maxNodes: maxNodes,
-		loc: sc.loc, best: sc.best, loads: sc.loads,
-		stack: sc.stack[:0], exm: sc.exm[:0], extra: extra,
+		frame: frame{loc: sc.loc, loads: sc.loads, stack: sc.stack[:0], exm: sc.exm[:0]},
+		ctx:   ctx, c: c, res: res, maxNodes: maxNodes,
+		best: sc.best, extra: extra,
 	}
 	c.BaseLocations(sc.loc)
 	minSpan := int32(bc.MinSpan())
@@ -173,10 +170,10 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	return seed
 }
 
-// RecordRoot inserts a completed search's whole-instance proof — the
+// recordRoot inserts a completed search's whole-instance proof — the
 // optimal locations and their delay — under the pre-pass's root key, so
 // the next solve of the same instance is a cache hit.
-func (seed *BoundSeed) RecordRoot(bc *boundcache.Cache, c *model.Compiled, best []model.Location, d float64) {
+func (seed *boundSeed) recordRoot(bc *boundcache.Cache, c *model.Compiled, best []model.Location, d float64) {
 	bc.Insert(seed.RootKey, completedEntry(c, best, c.RootPos, d))
 }
 
@@ -207,7 +204,7 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 			r.loads[c.Sensor[q]] += c.UpComm[q]
 		}
 	}
-	r.bestDelay = hostAdd + maxLoadOf(r.loads)
+	r.bestDelay = hostAdd + maxLoad(r.loads)
 	for q := start; q < end; q++ {
 		if !c.Proc[q] {
 			r.loads[c.Sensor[q]] = 0

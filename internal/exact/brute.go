@@ -17,7 +17,7 @@ type Result struct {
 	Explored   int // assignments (BruteForce) or search nodes (BranchAndBound) visited
 
 	// Partial marks a best-effort branch-and-bound result: the budget or
-	// deadline expired and BnBOptions.BestEffort asked for the incumbent
+	// deadline expired and Options.BestEffort asked for the incumbent
 	// instead of an error. Optimality is not proven.
 	Partial bool
 	// LowerBound is a valid floor on the optimal delay: the forced-host

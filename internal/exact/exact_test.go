@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,7 +93,7 @@ func TestBranchAndBoundPaperTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := BranchAndBound(tree, 0)
+	bb, err := BranchAndBound(context.Background(), tree, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestBranchAndBoundPaperTree(t *testing.T) {
 
 func TestBranchAndBoundBudget(t *testing.T) {
 	tree := workload.PaperTree()
-	if _, err := BranchAndBound(tree, 2); err != ErrBudget {
+	if _, err := BranchAndBound(context.Background(), tree, Options{MaxNodes: 2}); err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
@@ -129,7 +130,7 @@ func TestSolversAgreeOnScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bb, err := BranchAndBound(tc.tree, 0)
+			bb, err := BranchAndBound(context.Background(), tc.tree, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +166,7 @@ func TestThreeSolversAgreeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bb, err := BranchAndBound(tree, 0)
+		bb, err := BranchAndBound(context.Background(), tree, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -191,7 +192,7 @@ func TestDegenerateSingleSensor(t *testing.T) {
 	for name, solve := range map[string]func() (*Result, error){
 		"brute":  func() (*Result, error) { return BruteForce(tree, 0) },
 		"pareto": func() (*Result, error) { return Pareto(tree, 0) },
-		"bnb":    func() (*Result, error) { return BranchAndBound(tree, 0) },
+		"bnb":    func() (*Result, error) { return BranchAndBound(context.Background(), tree, Options{}) },
 	} {
 		res, err := solve()
 		if err != nil {
@@ -217,7 +218,7 @@ func TestZeroCostProfiles(t *testing.T) {
 	for name, solve := range map[string]func() (*Result, error){
 		"brute":  func() (*Result, error) { return BruteForce(tree, 0) },
 		"pareto": func() (*Result, error) { return Pareto(tree, 0) },
-		"bnb":    func() (*Result, error) { return BranchAndBound(tree, 0) },
+		"bnb":    func() (*Result, error) { return BranchAndBound(context.Background(), tree, Options{}) },
 	} {
 		res, err := solve()
 		if err != nil {

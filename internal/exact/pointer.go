@@ -15,7 +15,8 @@ import (
 // the pointer evaluator. It is retained as the reference implementation
 // the compiled search is parity-tested against (identical incumbents,
 // identical node counts) and as the baseline of
-// BenchmarkCompiledVsPointer. Semantics match BranchAndBoundFrom exactly.
+// BenchmarkCompiledVsPointer. Semantics match BranchAndBound at width 1
+// with Options.Warm exactly.
 func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, warm *model.Assignment) (*Result, error) {
 	if maxNodes <= 0 {
 		maxNodes = 1 << 22

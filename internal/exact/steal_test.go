@@ -1,4 +1,4 @@
-package parallel
+package exact
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/exact"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -20,11 +19,11 @@ import (
 // near compares delays with the repo-wide branch-and-bound tolerance:
 // the incremental bound terms are backtracked with -=, so the reported
 // delay of the same assignment can carry ~1e-13 of rounding residue that
-// depends on the exploration order (see exact_test.go, which compares
-// the sequential solvers the same way).
+// depends on the exploration order (exact_test.go compares the
+// independent solvers the same way).
 func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
 
-// workerCounts is the satellite-mandated sweep: degenerate sequential,
+// workerCounts is the width sweep: width 1 (the sequential search),
 // small, medium, and whatever this machine has.
 func workerCounts() []int {
 	out := []int{1, 2, 4}
@@ -35,9 +34,9 @@ func workerCounts() []int {
 }
 
 // TestParallelBnBExact: across ~200 randomized solves (50 instances ×
-// every worker count) the parallel delay equals the sequential
-// branch-and-bound's, and on small instances the brute-force optimum
-// too; only the reported co-optimal assignment may differ.
+// every worker count) the delay equals the width-1 search's, and on
+// small instances the brute-force optimum too; only the reported
+// co-optimal assignment may differ.
 func TestParallelBnBExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
@@ -45,14 +44,14 @@ func TestParallelBnBExact(t *testing.T) {
 		spec.Clustered = trial%2 == 0
 		tree := workload.Random(rng, spec)
 
-		seq, err := exact.BranchAndBound(tree, 0)
+		seq, err := BranchAndBound(context.Background(), tree, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: sequential: %v", trial, err)
 		}
 		c := model.Compile(tree)
 		bfDelay := math.NaN()
 		if c.Len() <= 16 {
-			bf, err := exact.BruteForce(tree, 0)
+			bf, err := BruteForce(tree, 0)
 			if err != nil {
 				t.Fatalf("trial %d: brute force: %v", trial, err)
 			}
@@ -93,7 +92,7 @@ func TestParallelBnBExact(t *testing.T) {
 func TestParallelBnBWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tree := workload.Random(rng, workload.DefaultRandomSpec(22, 3))
-	seq, err := exact.BranchAndBound(tree, 0)
+	seq, err := BranchAndBound(context.Background(), tree, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestParallelBnBWarmStart(t *testing.T) {
 		t.Logf("note: warm parallel explored %d > sequential %d (racy pruning)", res.Explored, seq.Explored)
 	}
 	other := workload.Random(rng, workload.DefaultRandomSpec(9, 2))
-	bad, err := exact.BranchAndBound(other, 0)
+	bad, err := BranchAndBound(context.Background(), other, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestParallelBnBBestEffortStarved(t *testing.T) {
 	tree := workload.Random(rng, workload.DefaultRandomSpec(40, 3))
 	// 40-node instances overflow the default 1<<22 node budget; give the
 	// reference solve headroom (the root anytime tests do the same).
-	seq, err := exact.BranchAndBound(tree, 1<<28)
+	seq, err := BranchAndBound(context.Background(), tree, Options{MaxNodes: 1 << 28})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestParallelBnBBestEffortStarved(t *testing.T) {
 		}
 		if _, err := BranchAndBound(context.Background(), tree, Options{
 			Workers: workers, MaxNodes: 10,
-		}); !errors.Is(err, exact.ErrBudget) {
+		}); !errors.Is(err, ErrBudget) {
 			t.Fatalf("workers %d: err = %v, want ErrBudget", workers, err)
 		}
 	}
@@ -270,14 +269,16 @@ func TestParallelBnBCancelStopsWorkers(t *testing.T) {
 }
 
 // TestParallelBnBPreCancelled: a context cancelled before the call stops
-// a deterministic single worker at its first poll stride.
+// the search at its first poll stride, at width 1 and above.
 func TestParallelBnBPreCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tree := workload.Random(rng, workload.DefaultRandomSpec(400, 6))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BranchAndBound(ctx, tree, Options{Workers: 1, MaxNodes: 1 << 30}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		if _, err := BranchAndBound(ctx, tree, Options{Workers: workers, MaxNodes: 1 << 30}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
@@ -289,7 +290,7 @@ func TestParallelIncumbentRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 4; trial++ {
 		tree := workload.Random(rng, workload.DefaultRandomSpec(18+trial*4, 3))
-		seq, err := exact.BranchAndBound(tree, 0)
+		seq, err := BranchAndBound(context.Background(), tree, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
