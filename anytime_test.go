@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -144,6 +145,49 @@ func TestBestEffortBudgetPartialVsExact(t *testing.T) {
 	if _, err := solver.Solve(context.Background(), tree,
 		repro.WithAlgorithm(repro.BranchBound), repro.WithBudget(2000)); err == nil {
 		t.Fatal("starved solve without best-effort should error")
+	}
+}
+
+// TestAnytimeFirstLowerBound: branch-and-bound's first streamed lower
+// bound is the root's per-satellite floor — never below the must-host
+// time the bound used to start at, never above the proven optimum, and
+// strictly tighter than the must-host time on some of the corpus.
+func TestAnytimeFirstLowerBound(t *testing.T) {
+	tighter := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		tree := workload.Random(rand.New(rand.NewSource(seed)), workload.DefaultRandomSpec(16+int(seed%13), 1+int(seed%4)))
+		c := model.Compile(tree)
+		forced := c.Forced[c.RootPos]
+		opt, err := repro.NewSolver().Solve(context.Background(), tree, repro.WithAlgorithm(repro.ParetoDP))
+		if err != nil {
+			t.Fatalf("seed %d: pareto-dp: %v", seed, err)
+		}
+		for _, alg := range []repro.Algorithm{repro.BranchBound, repro.ParallelBnB} {
+			var first *repro.Incumbent
+			_, err := repro.NewSolver().Solve(context.Background(), tree,
+				repro.WithAlgorithm(alg), repro.WithParallelism(2),
+				repro.WithIncumbents(func(inc repro.Incumbent) {
+					if first == nil {
+						first = &inc
+					}
+				}))
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, alg, err)
+			}
+			if first == nil {
+				t.Fatalf("seed %d %s: no incumbent streamed", seed, alg)
+			}
+			if lb := first.LowerBound; lb < forced || lb > opt.Delay+1e-9 {
+				t.Fatalf("seed %d %s: first lower bound %v outside [must-host %v, optimum %v]",
+					seed, alg, lb, forced, opt.Delay)
+			}
+			if first.LowerBound > forced {
+				tighter++
+			}
+		}
+	}
+	if tighter == 0 {
+		t.Fatal("the per-satellite floor never tightened the first lower bound")
 	}
 }
 

@@ -235,3 +235,27 @@ func TestBranchAndBoundWidthOneAllocs(t *testing.T) {
 		t.Fatalf("parallel-bnb at Parallelism 1 allocates %.1f objects/op, branch-and-bound %.1f; want equal", par, seq)
 	}
 }
+
+// TestBranchAndBoundFloorNodes is the deterministic node gate on the
+// per-satellite floor in the branch-and-bound's bound: the width-1,
+// cache-less search over a pinned 100-instance corpus (24-32 CRUs, 3
+// satellites) explores at most half the 7,717,769 nodes it explored with
+// the must-host bound alone. Node counts do not depend on the machine,
+// so the gate holds on noisy shared runners too.
+func TestBranchAndBoundFloorNodes(t *testing.T) {
+	const limit = 3858884
+	ctx := context.Background()
+	total := 0
+	for seed := int64(1); seed <= 100; seed++ {
+		tree := workload.Random(rand.New(rand.NewSource(seed)), workload.DefaultRandomSpec(24+int(seed%9), 3))
+		res, err := exact.BranchAndBound(ctx, tree, exact.Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		total += res.Explored
+	}
+	t.Logf("explored %d nodes over 100 instances (gate %d)", total, limit)
+	if total > limit {
+		t.Fatalf("explored %d nodes, want <= %d", total, limit)
+	}
+}

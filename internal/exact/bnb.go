@@ -52,12 +52,14 @@ type Options struct {
 
 // bnbScratch is the pooled working set of one branch-and-bound (or
 // brute-force) run: the partial and incumbent location vectors, the dense
-// per-satellite load table, the DFS stack and its extras prefix-maximum.
+// per-satellite load and pending-floor tables, the DFS stack and its
+// extras prefix-maximum, and the per-satellite floor table.
 type bnbScratch struct {
 	loc, best, seed []model.Location
-	loads           []float64
+	loads, pend     []float64
 	stack           []int32
 	exm             []float64
+	floor           []float64
 }
 
 var bnbScratches = pool.NewArena(func() *bnbScratch { return new(bnbScratch) })
@@ -71,9 +73,14 @@ type frame struct {
 	loc   []model.Location
 	stack []int32
 	loads []float64
+	// pend[s] is the sum of the per-satellite floors (satFloors) of the
+	// stack entries on satellite s, pushed and popped with the stack like
+	// forcedRemaining.
+	pend []float64
 	// exm is the running prefix maximum of the memoized extras over the
 	// stack, maintained push-for-push with it; unused when bound
-	// memoization is off, leaving the bound hostTime + forced + maxLoad.
+	// memoization is off, leaving the bound hostTime + forced +
+	// max_s(loads[s] + pend[s]).
 	exm             []float64
 	hostTime        float64
 	forcedRemaining float64
@@ -97,6 +104,8 @@ type bnbRun struct {
 	// Forced[p] — the part of its future cost the forced-host term
 	// cannot see. Nil when bound memoization is off.
 	extra []float64
+	// floor is the per-satellite floor table of c (see satFloors).
+	floor []float64
 
 	best      []model.Location
 	bestDelay float64
@@ -129,6 +138,67 @@ func maxLoad(loads []float64) float64 {
 		}
 	}
 	return m
+}
+
+// satFloors fills floor, row p at p·NumSats, with the least (host time +
+// load on satellite s) that position p's subtree adds once its parent is
+// hosted, not counting the must-host time already in Compiled.Forced. A
+// sensor adds its uplink on its own satellite; a sinkable monochromatic
+// CRU of colour s adds the better of sinking whole and hosting itself
+// above its children's floors (its only non-zero entry); a must-host CRU
+// adds its children's rows. Because the final delay H + max_s L_s is at
+// least H + L_s for every s, and H + L_s splits additively over
+// independent subtrees, the sum of the rows over the decision stack is a
+// valid per-satellite bound term. For a monochromatic subtree the floor
+// is its exact standalone optimum.
+func satFloors(c *model.Compiled, floor []float64) []float64 {
+	ns := c.NumSats
+	floor = pool.Slice(floor, c.Len()*ns)
+	for p := int32(0); p < int32(c.Len()); p++ {
+		row := floor[int(p)*ns : int(p+1)*ns]
+		if !c.Proc[p] {
+			row[c.Sensor[p]] = c.UpComm[p]
+			continue
+		}
+		if c.MustHost[p] {
+			for _, ch := range c.Children(p) {
+				for s, v := range floor[int(ch)*ns : int(ch+1)*ns] {
+					row[s] += v
+				}
+			}
+			continue
+		}
+		s := c.Colour[p]
+		host := c.HostTime[p]
+		for _, ch := range c.Children(p) {
+			host += floor[int(ch)*ns+int(s)]
+		}
+		row[s] = math.Min(c.SubSat[p]+c.UpComm[p], host)
+	}
+	return floor
+}
+
+// rootFloor is the floor bound of the whole instance: its must-host time
+// plus the largest per-satellite floor of the root.
+func rootFloor(c *model.Compiled, floor []float64) float64 {
+	ns := c.NumSats
+	return c.Forced[c.RootPos] + maxLoad(floor[int(c.RootPos)*ns:int(c.RootPos+1)*ns])
+}
+
+// addPend adds sign (+1 or -1) times position p's floor row to pend. A
+// sensor's or sinkable CRU's row has one non-zero entry, its colour;
+// adding the zeros would not change a bit, so only a must-host row is
+// added whole.
+func addPend(c *model.Compiled, floor, pend []float64, p int32, sign float64) {
+	ns := c.NumSats
+	if !c.MustHost[p] {
+		s := int(c.Colour[p])
+		pend[s] += sign * floor[int(p)*ns+s]
+		return
+	}
+	for s, v := range floor[int(p)*ns : int(p+1)*ns] {
+		pend[s] += sign * v
+	}
 }
 
 // improve records the complete assignment in r.loc, of delay d below
@@ -177,8 +247,17 @@ func (r *bnbRun) dfs() {
 		}
 	}
 	c := r.c
-	load := maxLoad(r.loads)
-	lower := load
+	// load is the largest committed satellite load; lower adds to each
+	// satellite the floors of the pending subtrees.
+	load, lower := 0.0, 0.0
+	for s, v := range r.loads {
+		if v > load {
+			load = v
+		}
+		if v += r.pend[s]; v > lower {
+			lower = v
+		}
+	}
 	if n := len(r.exm); n > 0 && r.exm[n-1] > lower {
 		// Some pending subtree is proven to add more delay than any
 		// committed satellite carries yet.
@@ -201,6 +280,7 @@ func (r *bnbRun) dfs() {
 		r.exm = r.exm[:len(r.exm)-1]
 	}
 	r.forcedRemaining -= c.Forced[p]
+	addPend(c, r.floor, r.pend, p, -1)
 	if !c.Proc[p] {
 		// Sensor whose parent is hosted (sensors under sunk subtrees
 		// are never on the stack): the raw frame crosses the uplink.
@@ -226,6 +306,7 @@ func (r *bnbRun) dfs() {
 			// Children re-enter the forced estimate individually.
 			for _, ch := range kids {
 				r.forcedRemaining += c.Forced[ch]
+				addPend(c, r.floor, r.pend, ch, 1)
 			}
 			if r.extra != nil {
 				for _, ch := range kids {
@@ -235,6 +316,7 @@ func (r *bnbRun) dfs() {
 			r.dfs()
 			for _, ch := range kids {
 				r.forcedRemaining -= c.Forced[ch]
+				addPend(c, r.floor, r.pend, ch, -1)
 			}
 			r.stack = r.stack[:len(r.stack)-len(kids)]
 			if r.extra != nil {
@@ -270,6 +352,7 @@ func (r *bnbRun) dfs() {
 		r.exm = pushExtra(r.exm, r.extra[p])
 	}
 	r.forcedRemaining += c.Forced[p]
+	addPend(c, r.floor, r.pend, p, 1)
 }
 
 // BranchAndBound is the branch-and-bound search the paper's §6 proposes
@@ -277,10 +360,13 @@ func (r *bnbRun) dfs() {
 // (host vs. sink-whole-subtree per monochromatic CRU) with three
 // prunings:
 //
-//   - bound: partial host time + the largest committed satellite load +
-//     the host time of undecided CRUs that can never leave the host is a
-//     lower bound on any completion, so branches at or above the incumbent
-//     are cut;
+//   - bound: partial host time + the host time of undecided CRUs that
+//     can never leave the host + the largest, over satellites s, of s's
+//     committed load plus the per-satellite floors (satFloors) of the
+//     undecided subtrees is a lower bound on any completion, so branches
+//     at or above the incumbent are cut — the floors add each pending
+//     sensor uplink and each pending monochromatic subtree's least
+//     standalone cost to the satellite it loads;
 //   - seeding: the incumbent starts at the better of all-host and maximal
 //     distribution (and the warm hint) rather than +∞;
 //   - ordering: at each CRU the branch with the smaller immediate
@@ -290,9 +376,10 @@ func (r *bnbRun) dfs() {
 // The search runs entirely against the tree's compiled plan: the
 // must-host bounds table (Compiled.Forced) is indexed by post-order
 // position and precomputed per revision, subtree sinks are span fills
-// over the flat location vector, satellite loads live in a dense pooled
-// array, and incumbents are evaluated with the flat kernel — the hot loop
-// performs no allocation and no pointer chasing. BranchAndBoundPointer is
+// over the flat location vector, satellite loads and the per-satellite
+// floor table live in dense pooled arrays, and incumbents are evaluated
+// with the flat kernel — the hot loop performs no allocation and no
+// pointer chasing. BranchAndBoundPointer is
 // the original node-walking implementation, retained for parity tests.
 //
 // A fourth, optional pruning is bound memoization (Options.Bounds):
@@ -313,12 +400,16 @@ func BranchAndBound(ctx context.Context, t *model.Tree, opts Options) (*Result, 
 	n := c.Len()
 	res := &Result{Delay: math.Inf(1)}
 
+	sc := bnbScratches.Get()
+	defer bnbScratches.Put(sc)
+	sc.floor = satFloors(c, sc.floor)
+
 	// The memoization pre-pass runs first: a complete entry for the whole
 	// instance short-circuits the solve, and the per-subtree extras it
 	// proves (or replays from previous solves) arm the bound below.
 	var seed *boundSeed
 	if opts.Bounds != nil {
-		seed = prepareBounds(ctx, t, opts.Bounds, maxNodes)
+		seed = prepareBounds(ctx, t, opts.Bounds, maxNodes, sc)
 		res.Explored = seed.Explored
 		res.Pruned = seed.Pruned
 		res.BoundHits, res.BoundMisses = seed.Hits, seed.Misses
@@ -327,28 +418,26 @@ func BranchAndBound(ctx context.Context, t *model.Tree, opts Options) (*Result, 
 		}
 	}
 
-	sc := bnbScratches.Get()
-	defer bnbScratches.Put(sc)
 	fr := eval.GetFrame()
 	defer eval.PutFrame(fr)
 	sc.loc = pool.Keep(sc.loc, n)
 	sc.best = pool.Keep(sc.best, n)
 	sc.seed = pool.Keep(sc.seed, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
+	sc.pend = pool.Slice(sc.pend, c.NumSats)
 
 	run := &bnbRun{
-		frame: frame{loc: sc.loc, loads: sc.loads},
-		ctx:   ctx, c: c, res: res, maxNodes: maxNodes,
+		frame: frame{loc: sc.loc, loads: sc.loads, pend: sc.pend},
+		ctx:   ctx, c: c, res: res, maxNodes: maxNodes, floor: sc.floor,
 		best: sc.best, bestDelay: math.Inf(1), spanStart: 0, spanEnd: int32(n),
 	}
 
-	// The forced-host table at the root — processing no assignment can
-	// move off the host — is a cheap valid lower bound on every completion,
-	// which is what anytime consumers need to report a gap. It is weak
-	// (it ignores communication and satellite load) but never wrong; the
-	// memoized pre-pass tightens it, and a completed search replaces it
-	// with the proven optimum.
-	globalLB := c.Forced[c.RootPos]
+	// The root's floor — the must-host time plus the largest
+	// per-satellite floor (satFloors) — is a cheap valid lower bound on
+	// every completion, which is what anytime consumers need to report a
+	// gap. It is never wrong; the memoized pre-pass may tighten it, and a
+	// completed search replaces it with the proven optimum.
+	globalLB := rootFloor(c, sc.floor)
 	if seed != nil {
 		run.extra = seed.Extra
 		if seed.RootLB > globalLB {
@@ -396,6 +485,7 @@ func BranchAndBound(ctx context.Context, t *model.Tree, opts Options) (*Result, 
 
 	c.BaseLocations(sc.loc)
 	run.forcedRemaining = c.Forced[c.RootPos]
+	addPend(c, sc.floor, run.pend, c.RootPos, 1)
 	run.stack = append(sc.stack[:0], c.RootPos)
 	if run.extra != nil {
 		run.exm = append(sc.exm[:0], run.extra[c.RootPos])

@@ -21,7 +21,7 @@ type boundSeed struct {
 	// decision stack and fold it into the pruning bound.
 	Extra []float64
 	// RootLB is a proven floor on the instance's optimal delay, at least
-	// Forced[RootPos] and usually far tighter: LowerBound starts here.
+	// the root's per-satellite floor (rootFloor): LowerBound starts here.
 	RootLB float64
 	// RootKey is the instance's own cache key (Merkle root, Root
 	// context); a completed search inserts its proof under it.
@@ -55,10 +55,14 @@ type boundSeed struct {
 // touched and the main search starts with every clean region's exact
 // cost already in its bound.
 //
+// The sub-solves run in the solve's own pooled scratch sc, whose floor
+// table (satFloors) arms their bound like the main search's; they
+// leave its location vector and loads as they found them.
+//
 // The node budget is shared with the main search via boundSeed.Explored;
 // on budget or context expiry the remaining subtrees degrade to their
 // static floors and the caller sees BudgetHit/Err.
-func prepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, maxNodes int) *boundSeed {
+func prepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, maxNodes int, sc *bnbScratch) *boundSeed {
 	c := model.Compile(t)
 	n := c.Len()
 	hashes := model.SubtreeHashes(t)
@@ -86,15 +90,14 @@ func prepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	extra := make([]float64, n)
 	res := &Result{Delay: math.Inf(1)} // counter sink for the sub-solves
 
-	sc := bnbScratches.Get()
-	defer bnbScratches.Put(sc)
 	sc.loc = pool.Keep(sc.loc, n)
 	sc.best = pool.Keep(sc.best, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
+	sc.pend = pool.Keep(sc.pend, c.NumSats)
 	run := &bnbRun{
-		frame: frame{loc: sc.loc, loads: sc.loads, stack: sc.stack[:0], exm: sc.exm[:0]},
+		frame: frame{loc: sc.loc, loads: sc.loads, pend: sc.pend, stack: sc.stack[:0], exm: sc.exm[:0]},
 		ctx:   ctx, c: c, res: res, maxNodes: maxNodes,
-		best: sc.best, extra: extra,
+		best: sc.best, extra: extra, floor: sc.floor,
 	}
 	c.BaseLocations(sc.loc)
 	minSpan := int32(bc.MinSpan())
@@ -154,10 +157,7 @@ func prepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	sc.stack = run.stack[:0]
 	sc.exm = run.exm[:0]
 
-	rootLB := lbc[c.RootPos]
-	if cachedRoot > rootLB {
-		rootLB = cachedRoot
-	}
+	rootLB := max(lbc[c.RootPos], cachedRoot, rootFloor(c, sc.floor))
 	seed.RootLB = rootLB
 	if e := rootLB - c.Forced[c.RootPos]; e > 0 {
 		extra[c.RootPos] = e
@@ -219,6 +219,8 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 
 	r.hostTime = 0
 	r.forcedRemaining = c.Forced[p]
+	clear(r.pend) // exactly, for the same reason as loads
+	addPend(c, r.floor, r.pend, p, 1)
 	r.stack = append(r.stack[:0], p)
 	if rootExtra < 0 {
 		rootExtra = 0

@@ -20,9 +20,10 @@ type Result struct {
 	// deadline expired and Options.BestEffort asked for the incumbent
 	// instead of an error. Optimality is not proven.
 	Partial bool
-	// LowerBound is a valid floor on the optimal delay: the forced-host
-	// bound while the search runs, and the proven optimum (== Delay) once
-	// an exact search completes. Zero when the solver computes none.
+	// LowerBound is a valid floor on the optimal delay: the root's
+	// per-satellite floor (or a tighter memoized bound) while the search
+	// runs, and the proven optimum (== Delay) once an exact search
+	// completes. Zero when the solver computes none.
 	LowerBound float64
 
 	// Node accounting of the memoized branch-and-bound searches: branches

@@ -11,6 +11,18 @@
 //     one of the two heuristic directions the paper's §6 names for future
 //     work (here made exact because the objective admits a monotone bound).
 //
+// The branch-and-bound prunings are: the bound — committed host time, plus
+// the host time of undecided must-host CRUs, plus the largest over
+// satellites s of (s's committed load + the per-satellite floors of the
+// undecided subtrees), where a subtree's floor on s is the least host
+// time plus load on s it can add (its sensors' uplinks; for a sinkable
+// monochromatic subtree, its exact standalone optimum); seeding the
+// incumbent with all-host, maximal distribution and an optional warm
+// hint; cheaper-branch-first ordering; and, with a bound cache, memoized
+// standalone subtree bounds and whole-instance replays. The delay
+// H + max_s L_s is at least H + L_s for each s, and H + L_s is additive
+// over independent subtrees, which is why the floors may be summed.
+//
 // BranchAndBound has one depth-first search and a width. At width 1
 // (the branch-and-bound wire name) it runs on the caller's goroutine and
 // touches no atomic, mutex or deque. Above width 1 (parallel-bnb, width

@@ -41,6 +41,34 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 		}
 	}
 
+	// floorSub[v][s] = the least (host time + load on s) v's subtree adds
+	// once its parent is hosted, beyond forcedSub: a sensor's uplink on
+	// its satellite, the better of sinking and hosting a sinkable CRU,
+	// and the sum of a must-host CRU's children's maps.
+	floorSub := make([]map[model.SatelliteID]float64, t.Len())
+	for _, id := range t.Postorder() {
+		n := t.Node(id)
+		row := map[model.SatelliteID]float64{}
+		switch {
+		case n.Kind == model.SensorKind:
+			row[n.Satellite] = n.UpComm
+		case an.MustHost(id):
+			for _, c := range n.Children {
+				for s, v := range floorSub[c] {
+					row[s] += v
+				}
+			}
+		default:
+			sat, _ := t.CorrespondentSatellite(id)
+			host := n.HostTime
+			for _, c := range n.Children {
+				host += floorSub[c][sat]
+			}
+			row[sat] = math.Min(t.SubtreeSatTime(id)+n.UpComm, host)
+		}
+		floorSub[id] = row
+	}
+
 	seeds := []*model.Assignment{an.FeasibleTopmost(), model.NewAssignment(t)}
 	if warm != nil {
 		seeds = append(seeds, warm.Clone())
@@ -57,6 +85,7 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 
 	asg := model.NewAssignment(t)
 	loads := map[model.SatelliteID]float64{}
+	pend := map[model.SatelliteID]float64{} // Σ floorSub over the stack
 	var hostTime float64
 	var forcedRemaining = forcedSub[t.Root()]
 	budgetHit := false
@@ -72,7 +101,28 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 		return m
 	}
 
+	pushPend := func(id model.NodeID) {
+		for s, v := range floorSub[id] {
+			pend[s] += v
+		}
+	}
+	popPend := func(id model.NodeID) {
+		for s, v := range floorSub[id] {
+			pend[s] -= v
+		}
+	}
+	maxLoadPend := func() float64 {
+		m := 0.0
+		for _, sat := range t.Satellites() {
+			if v := loads[sat.ID] + pend[sat.ID]; v > m {
+				m = v
+			}
+		}
+		return m
+	}
+
 	stack := []model.NodeID{t.Root()}
+	pushPend(t.Root())
 	var rec func()
 	rec = func() {
 		if budgetHit || ctxErr != nil {
@@ -89,7 +139,7 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 				return
 			}
 		}
-		bound := hostTime + forcedRemaining + maxLoad()
+		bound := hostTime + forcedRemaining + maxLoadPend()
 		if bound >= res.Delay {
 			return
 		}
@@ -103,9 +153,11 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		forcedRemaining -= forcedSub[id]
+		popPend(id)
 		defer func() {
 			stack = append(stack, id)
 			forcedRemaining += forcedSub[id]
+			pushPend(id)
 		}()
 		n := t.Node(id)
 
@@ -134,10 +186,12 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 			stack = append(stack, n.Children...)
 			for _, c := range n.Children {
 				forcedRemaining += forcedSub[c]
+				pushPend(c)
 			}
 			rec()
 			for _, c := range n.Children {
 				forcedRemaining -= forcedSub[c]
+				popPend(c)
 			}
 			stack = stack[:len(stack)-len(n.Children)]
 			hostTime -= n.HostTime

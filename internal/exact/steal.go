@@ -100,7 +100,7 @@ func searchWide(top *bnbRun, width int) {
 	var wg sync.WaitGroup
 	for i := range workers {
 		w := &workers[i]
-		w.bnbRun = bnbRun{ctx: top.ctx, c: top.c, res: &w.res, extra: top.extra, sh: s, id: i}
+		w.bnbRun = bnbRun{ctx: top.ctx, c: top.c, res: &w.res, extra: top.extra, floor: top.floor, sh: s, id: i}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -199,6 +199,7 @@ func (s *shared) fork(f *frame) *frame {
 	nf.loc = append(nf.loc[:0], f.loc...)
 	nf.stack = append(nf.stack[:0], f.stack...)
 	nf.loads = append(nf.loads[:0], f.loads...)
+	nf.pend = append(nf.pend[:0], f.pend...)
 	nf.exm = append(nf.exm[:0], f.exm...)
 	nf.hostTime = f.hostTime
 	nf.forcedRemaining = f.forcedRemaining
@@ -223,6 +224,7 @@ func (r *bnbRun) split(p int32, sinkFirst bool) bool {
 		nf.stack = append(nf.stack, kids...)
 		for _, ch := range kids {
 			nf.forcedRemaining += c.Forced[ch]
+			addPend(c, r.floor, nf.pend, ch, 1)
 		}
 		if r.extra != nil {
 			for _, ch := range kids {
